@@ -177,7 +177,7 @@ def select_optimal_grouping(
     # backend returns depends on matrix layout — replace the backend's
     # pick with the lexicographically-smallest optimal selection so
     # scipy/bnb and monolithic/decomposed all agree byte-for-byte.
-    canonical = lexmin_optimal_selection(
+    positions = lexmin_optimal_selection(
         sorted(universe),
         ordered,
         costs,
@@ -185,8 +185,6 @@ def select_optimal_grouping(
         min_count=min_groups,
         max_count=max_groups,
     )
-    if canonical is not None:
-        positions = canonical
     selected = [ordered[position] for position in positions]
     grouping = Grouping(selected, universe)
     objective = sum(distance.group_distance(group) for group in selected)

@@ -408,10 +408,6 @@ class SetPartitionSolver:
             selection.pop()
 
 
-class _CanonicalAbort(Exception):
-    """Internal: the canonicalization search ran out of node budget."""
-
-
 def lexmin_optimal_selection(
     universe: Sequence[str],
     candidates: Sequence[frozenset[str]],
@@ -419,9 +415,8 @@ def lexmin_optimal_selection(
     target: float,
     min_count: int | None = None,
     max_count: int | None = None,
-    node_limit: int = 2_000_000,
     tolerance: float = 1e-9,
-) -> list[int] | None:
+) -> list[int]:
     """The lexicographically-smallest optimal selection of a solved program.
 
     Given the proven optimal objective ``target`` of a weighted
@@ -439,57 +434,73 @@ def lexmin_optimal_selection(
     canonicalizing each overlap component independently yields exactly
     this function's answer on the full program.
 
-    Depth-first over positions in ascending order, trying *include*
-    before *exclude*, pruned by the optimal-cost bound (only
-    optimal-cost paths survive), cost-share lower bounds, count
-    envelopes, and per-class coverage horizons.  Returns ``None`` when
-    the ``node_limit`` budget is exhausted (callers keep the solver's
-    own selection in that case).
+    An exact bitmask search with no budget: classes are bits in sorted
+    order, candidates and the covered set are ints.  It runs depth-first
+    over positions in ascending order, trying *include* before
+    *exclude*, so the first selection it reaches is the lex-min.  Every
+    prune only cuts subtrees holding no selection of cost ``<= target +
+    tolerance``:
+
+    * **coverage horizon** — the union of the candidates at positions
+      ``>= p`` must cover every uncovered class;
+    * **cost bound** — each uncovered class costs at least its minimum
+      cost share ``cost(g)/|g|`` over candidates at positions ``>= p``
+      (any exact cover charges each class exactly its group's share);
+    * **count envelope** — the remaining classes must fit the count
+      bounds.
+
+    Candidates overlapping the covered set are skipped without
+    re-evaluating these tests.  Raises :class:`SolverError` when no
+    selection meets ``target`` (the caller passed a cost below the
+    optimum).
     """
     ordered_classes = sorted(set(universe))
-    universe_set = frozenset(ordered_classes)
-    total = len(universe_set)
+    total = len(ordered_classes)
     if not total:
         return []
+    index_of = {cls: index for index, cls in enumerate(ordered_classes)}
+    full = (1 << total) - 1
     count = len(candidates)
-    min_share: dict[str, float] = {cls: math.inf for cls in ordered_classes}
-    last_position: dict[str, int] = {cls: -1 for cls in ordered_classes}
-    largest = 1
-    for position, candidate in enumerate(candidates):
-        largest = max(largest, len(candidate))
-        share = costs[position] / len(candidate)
-        for cls in candidate:
-            if share < min_share[cls]:
-                min_share[cls] = share
-            last_position[cls] = position
-    nodes = 0
+    masks = [
+        sum(1 << index_of[cls] for cls in candidate) for candidate in candidates
+    ]
+    sizes = [len(candidate) for candidate in candidates]
+    largest = max(sizes, default=1)
+    limit = target + tolerance
+    # Suffix tables, built once: ``reach[p]`` is the union of the masks
+    # at positions >= p; ``shares[p][i]`` is class i's minimum cost share
+    # over those positions (inf when none covers it).
+    reach = [0] * (count + 1)
+    shares: list[list[float]] = [[math.inf] * total]
+    for position in range(count - 1, -1, -1):
+        reach[position] = reach[position + 1] | masks[position]
+        row = list(shares[-1])
+        share = costs[position] / sizes[position]
+        for cls in candidates[position]:
+            index = index_of[cls]
+            if share < row[index]:
+                row[index] = share
+        shares.append(row)
+    shares.reverse()
 
-    def _search(position, covered, selected, cost, selection):
+    def _search(position, covered, remaining, selected, cost, selection):
         # The exclude branch iterates (recursing per skipped candidate
         # would overflow the stack on large programs); only the include
         # branch recurses, bounding the depth by the partition size.
-        nonlocal nodes
-        remaining = total - len(covered)
         while True:
-            nodes += 1
-            if nodes > node_limit:
-                raise _CanonicalAbort
             if remaining == 0:
                 if min_count is not None and selected < min_count:
                     return None
                 if max_count is not None and selected > max_count:
                     return None
                 return list(selection)
+            while position < count and masks[position] & covered:
+                position += 1
             if position == count:
                 return None
-            bound = 0.0
-            for cls in ordered_classes:
-                if cls not in covered:
-                    if last_position[cls] < position:
-                        return None  # the class can no longer be covered
-                    bound += min_share[cls]
-            if cost + bound > target + tolerance:
-                return None
+            uncovered = full ^ covered
+            if uncovered & ~reach[position]:
+                return None  # some class can no longer be covered
             if (
                 max_count is not None
                 and selected + math.ceil(remaining / largest) > max_count
@@ -497,14 +508,23 @@ def lexmin_optimal_selection(
                 return None
             if min_count is not None and selected + remaining < min_count:
                 return None
-            candidate = candidates[position]
-            if not (candidate & covered) and cost + costs[position] <= target + tolerance:
+            row = shares[position]
+            bound = 0.0
+            while uncovered:
+                low = uncovered & -uncovered
+                bound += row[low.bit_length() - 1]
+                uncovered ^= low
+            if cost + bound > limit:
+                return None
+            step = cost + costs[position]
+            if step <= limit:
                 selection.append(position)
                 found = _search(
                     position + 1,
-                    covered | candidate,
+                    covered | masks[position],
+                    remaining - sizes[position],
                     selected + 1,
-                    cost + costs[position],
+                    step,
                     selection,
                 )
                 if found is not None:
@@ -512,7 +532,9 @@ def lexmin_optimal_selection(
                 selection.pop()
             position += 1
 
-    try:
-        return _search(0, frozenset(), 0, 0.0, [])
-    except _CanonicalAbort:
-        return None
+    found = _search(0, 0, total, 0, 0.0, [])
+    if found is None:
+        raise SolverError(
+            f"no selection of cost <= {target!r} covers the universe"
+        )
+    return found

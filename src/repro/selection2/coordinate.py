@@ -17,11 +17,13 @@ a knapsack-style merge:
 Both steps are exact, so the recombined selection is a provably optimal
 solution of the bounded program.  Ties are broken deterministically and
 consistently with the monolithic path's canonical tie-break
-(:func:`repro.mip.branch_and_bound.lexmin_optimal_selection`): lowest
-cost first, then — via ``order_key`` — the lexicographically smallest
-merged selection in global candidate order.  Because components have
-disjoint candidate supports, comparing merged position tuples per
-allocation picks exactly the global lex-min optimum.
+(:func:`repro.mip.branch_and_bound.lexmin_optimal_selection`, an exact
+bitmask search with no budget, so every front entry is already its
+count's lex-min optimum): lowest cost first, then — via ``order_key`` —
+the lexicographically smallest merged selection in global candidate
+order.  Because components have disjoint candidate supports, comparing
+merged position tuples per allocation picks exactly the global lex-min
+optimum.
 """
 
 from __future__ import annotations

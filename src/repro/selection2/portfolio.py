@@ -21,14 +21,13 @@ releases the GIL, so both genuinely run at once).  The first backend to
 produce a *usable* result wins and the loser is cancelled.
 
 **Deterministic winner rule.**  The raced result can never depend on
-which thread finishes first: a result is *usable* only when it is the
-canonical lex-min optimum (``canonical=True`` — both backends
-canonicalize through :func:`lexmin_optimal_selection`, so their usable
-solutions are byte-identical) or a proof of infeasibility.  When
-canonicalization exhausts its node budget the HiGHS solution is
-authoritative (its variable assignment is a deterministic function of
-the program matrix), and a backend that fails outright simply concedes
-to the other.  Only diagnostic fields (``race_winner``, ``nodes``,
+which thread finishes first: a result is *usable* when it is a proven
+optimum or a proof of infeasibility, from either backend.  The racers
+return their raw optima; only the winner's is then canonicalized
+through :func:`lexmin_optimal_selection`, an exact search with no
+budget, so whichever backend wins, the component resolves to the same
+lex-min optimum.  A backend that fails outright simply concedes to the
+other.  Only diagnostic fields (``race_winner``, ``nodes``,
 ``backend``) record which thread actually came first.
 
 Auto-mode branch-and-bound runs start from a greedy incumbent (cheapest
@@ -53,7 +52,7 @@ from repro.mip.branch_and_bound import (
     SolverCancelled,
     lexmin_optimal_selection,
 )
-from repro.mip.result import SolverStatus
+from repro.mip.result import SolverResult, SolverStatus
 from repro.selection2.decompose import Component
 
 #: Components with at most this many candidates go to branch-and-bound
@@ -99,9 +98,8 @@ class ComponentSolution:
     their summed cost; ``nodes`` counts branch-and-bound nodes (0 for
     HiGHS); ``backend`` names the solver that produced the solution.
     ``lp_cuts`` counts prunes decided only by the LP-relaxation bound;
-    ``canonical`` records whether the groups are the lex-min optimum
-    (``False`` only when the canonicalization budget ran out);
-    ``raced``/``race_winner`` are diagnostic race accounting.
+    ``raced``/``race_winner`` are diagnostic race accounting.  An
+    optimal solution's groups are always the canonical lex-min optimum.
     """
 
     status: str
@@ -111,7 +109,6 @@ class ComponentSolution:
     backend: str = ""
     message: str = ""
     lp_cuts: int = 0
-    canonical: bool = True
     raced: bool = False
     race_winner: str = ""
 
@@ -195,17 +192,14 @@ def _from_solver_result(
     # lex-min selections compose to the global lex-min, which is what
     # the monolithic path returns — so equal-cost optima cannot make
     # decomposed and monolithic solves diverge.
-    target = sum(component.costs[position] for position in positions)
-    canonical = lexmin_optimal_selection(
+    positions = lexmin_optimal_selection(
         component.classes,
         list(component.candidates),
         list(component.costs),
-        target=target,
+        target=sum(component.costs[position] for position in positions),
         min_count=min_count,
         max_count=max_count,
     )
-    if canonical is not None:
-        positions = canonical
     groups = tuple(
         tuple(sorted(component.candidates[position])) for position in positions
     )
@@ -217,11 +211,10 @@ def _from_solver_result(
         backend=backend,
         message=outcome.message,
         lp_cuts=outcome.lp_bound_cuts,
-        canonical=canonical is not None,
     )
 
 
-def _solve_bnb(
+def _bnb_outcome(
     component: Component,
     min_count: int | None,
     max_count: int | None,
@@ -229,7 +222,8 @@ def _solve_bnb(
     time_limit: float | None = None,
     warm_start: bool = False,
     cancel_event=None,
-) -> ComponentSolution:
+) -> SolverResult:
+    """Raw branch-and-bound result (the optimum is not canonicalized)."""
     incumbent = (
         greedy_incumbent(component, min_count, max_count) if warm_start else None
     )
@@ -244,15 +238,28 @@ def _solve_bnb(
         cancel_event=cancel_event,
         **({"node_limit": node_limit} if node_limit is not None else {}),
     )
-    return _from_solver_result(solver.solve(), component, "bnb", min_count, max_count)
+    return solver.solve()
 
 
-def _solve_scipy(
+def _solve_bnb(
+    component: Component,
+    min_count: int | None,
+    max_count: int | None,
+    **options,
+) -> ComponentSolution:
+    return _from_solver_result(
+        _bnb_outcome(component, min_count, max_count, **options),
+        component, "bnb", min_count, max_count,
+    )
+
+
+def _scipy_outcome(
     component: Component,
     min_count: int | None,
     max_count: int | None,
     time_limit: float | None,
-) -> ComponentSolution:
+) -> SolverResult:
+    """Raw HiGHS result (the optimum is not canonicalized)."""
     from repro.core.selection import build_program
 
     program = build_program(
@@ -262,29 +269,24 @@ def _solve_scipy(
         min_groups=min_count,
         max_groups=max_count,
     )
+    return scipy_backend.solve(program, time_limit=time_limit)
+
+
+def _solve_scipy(
+    component: Component,
+    min_count: int | None,
+    max_count: int | None,
+    time_limit: float | None,
+) -> ComponentSolution:
     return _from_solver_result(
-        scipy_backend.solve(program, time_limit=time_limit),
-        component,
-        "scipy",
-        min_count,
-        max_count,
+        _scipy_outcome(component, min_count, max_count, time_limit),
+        component, "scipy", min_count, max_count,
     )
 
 
-def _usable(solution: ComponentSolution, backend: str) -> bool:
-    """Whether a racer's result may decide the race (determinism rule).
-
-    An optimal solution is usable only when canonicalized (both
-    backends' canonical optima are byte-identical, so the race outcome
-    cannot depend on timing); a non-canonical optimum is usable only
-    from HiGHS, whose raw assignment is a deterministic function of the
-    program matrix.  Infeasibility proofs are always usable.
-    """
-    if solution.status == SolverStatus.INFEASIBLE.value:
-        return True
-    if not solution.is_optimal:
-        return False
-    return solution.canonical or backend == "scipy"
+#: Racer outcomes that may decide the race: either backend's optimum
+#: canonicalizes to the same selection, and infeasibility is a proof.
+_USABLE = (SolverStatus.OPTIMAL, SolverStatus.INFEASIBLE)
 
 
 def race_component(
@@ -298,12 +300,13 @@ def race_component(
 
     One thread runs the warm-started, LP-bounded branch-and-bound
     (cooperatively cancellable via :class:`threading.Event`), the other
-    HiGHS (whose native solve releases the GIL).  The first *usable*
-    finisher — see :func:`_usable` for the deterministic winner rule —
-    decides the component; the losing branch-and-bound is cancelled at
-    its next node-interval check, while a losing HiGHS solve is
-    abandoned to its daemon thread.  A racer that fails outright
-    concedes; both failing raises the combined :class:`SolverError`.
+    HiGHS (whose native solve releases the GIL).  The first finisher
+    with an optimum or an infeasibility proof decides the component,
+    and only its optimum is canonicalized (once, after the race); the
+    losing branch-and-bound is cancelled at its next node-interval
+    check, while a losing HiGHS solve is abandoned to its daemon
+    thread.  A racer that fails outright concedes; both failing raises
+    the combined :class:`SolverError`.
 
     ``chaos`` is a test seam: a callable invoked as ``chaos(name)``
     inside each racer thread before its solve, letting the race
@@ -316,10 +319,10 @@ def race_component(
         )
     cancel = threading.Event()
     finished = threading.Condition()
-    outcomes: dict[str, "ComponentSolution | BaseException"] = {}
+    outcomes: dict[str, "SolverResult | BaseException"] = {}
 
     def _racer(name, solve):
-        outcome: "ComponentSolution | BaseException"
+        outcome: "SolverResult | BaseException"
         try:
             if chaos is not None:
                 chaos(name)
@@ -331,11 +334,11 @@ def race_component(
             finished.notify_all()
 
     racers = {
-        "bnb": lambda: _solve_bnb(
+        "bnb": lambda: _bnb_outcome(
             component, min_count, max_count,
             time_limit=time_limit, warm_start=True, cancel_event=cancel,
         ),
-        "scipy": lambda: _solve_scipy(component, min_count, max_count, time_limit),
+        "scipy": lambda: _scipy_outcome(component, min_count, max_count, time_limit),
     }
     threads = {
         name: threading.Thread(
@@ -352,9 +355,7 @@ def race_component(
         while True:
             for name in _RACE_ORDER:
                 outcome = outcomes.get(name)
-                if isinstance(outcome, ComponentSolution) and _usable(
-                    outcome, name
-                ):
+                if isinstance(outcome, SolverResult) and outcome.status in _USABLE:
                     winner = name
                     break
             if winner is not None or len(outcomes) == len(racers):
@@ -362,16 +363,18 @@ def race_component(
             finished.wait()
     cancel.set()
     if winner is None:
-        # Neither produced a usable result.  Prefer reporting a real
-        # solver outcome (e.g. both timed out) over a race artifact.
-        for name in _RACE_ORDER:
-            outcome = outcomes[name]
-            if isinstance(outcome, ComponentSolution):
-                return replace(outcome, raced=True, race_winner=name)
-        errors = "; ".join(
-            f"{name}: {outcomes[name]}" for name in _RACE_ORDER
-        )
-        raise SolverError(f"both race backends failed ({errors})")
+        # Neither produced a usable result (both have finished).  Prefer
+        # reporting a real solver outcome (e.g. both timed out) over a
+        # race artifact.
+        reported = [
+            name for name in _RACE_ORDER if isinstance(outcomes[name], SolverResult)
+        ]
+        if not reported:
+            errors = "; ".join(
+                f"{name}: {outcomes[name]}" for name in _RACE_ORDER
+            )
+            raise SolverError(f"both race backends failed ({errors})")
+        winner = reported[0]
     # Let the cancelled branch-and-bound unwind (it reacts within one
     # node interval); an unfinished HiGHS solve is left to its daemon
     # thread (reaped at interpreter exit) and its late result discarded.
@@ -379,8 +382,10 @@ def race_component(
         threads["bnb"].join(timeout=30.0)
     else:
         _adopt_orphan(threads["scipy"])
-    solution = outcomes[winner]
-    assert isinstance(solution, ComponentSolution)
+    # Canonicalize once, here, rather than in both racer threads.
+    solution = _from_solver_result(
+        outcomes[winner], component, winner, min_count, max_count
+    )
     return replace(solution, raced=True, race_winner=winner)
 
 

@@ -83,7 +83,6 @@ def _selection_to_dict(solution) -> dict | None:
         "backend": solution.backend,
         "message": solution.message,
         "lp_cuts": solution.lp_cuts,
-        "canonical": solution.canonical,
     }
 
 
@@ -95,6 +94,8 @@ def _selection_from_dict(payload: dict):
         raise ValueError(f"unknown selection entry schema: {payload.get('schema')!r}")
     # ``raced``/``race_winner`` are deliberately not persisted: a cache
     # hit is not a race, so replayed entries carry no race accounting.
+    # Entries written before every optimum was canonical may still carry
+    # a ``canonical`` key; it is ignored.
     return ComponentSolution(
         status=payload["status"],
         groups=tuple(tuple(group) for group in payload["groups"]),
@@ -103,7 +104,6 @@ def _selection_from_dict(payload: dict):
         backend=payload["backend"],
         message=payload.get("message", ""),
         lp_cuts=int(payload.get("lp_cuts", 0)),
-        canonical=bool(payload.get("canonical", True)),
     )
 
 

@@ -8,6 +8,13 @@ decomposer, presolver (with certificate verification), portfolio,
 coordination DP, caching, and parallel dispatch.
 """
 
+import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import pytest
 
 from repro.constraints import (
@@ -232,6 +239,64 @@ class TestCanonicalTieBreak:
         assert set(mono.grouping.groups) == expected
         assert set(dec.grouping.groups) == expected
         assert mono.objective == dec.objective == 2.0
+
+    def test_outputs_invariant_to_hash_seed(self):
+        """Set iteration order (``PYTHONHASHSEED``) never picks the winner.
+
+        The tied program and the ``loan:60/groups5`` job run in fresh
+        interpreters under four hash seeds; each must produce exactly
+        one signature.
+        """
+        script = textwrap.dedent(
+            """
+            import hashlib, json
+            from repro.constraints.parser import parse_constraints
+            from repro.core.gecco import Gecco, GeccoConfig
+            from repro.core.selection import select_optimal_grouping
+            from repro.datasets import loan_application_log
+            from repro.eventlog.events import Event, EventLog, Trace
+            from repro.selection2 import select_decomposed
+            from repro.service.serialization import result_signature
+
+            class Stub:
+                def group_distance(self, group):
+                    return 1.0
+
+            log = EventLog([Trace([Event(c) for c in "abcd"]) for _ in range(2)])
+            candidates = {frozenset(pair) for pair in ("ab", "cd", "ac", "bd")}
+            tied = []
+            for backend in ("scipy", "bnb"):
+                for select in (select_optimal_grouping, select_decomposed):
+                    grouping = select(log, candidates, Stub(), backend=backend).grouping
+                    tied.append(sorted(sorted(group) for group in grouping.groups))
+            constraints = parse_constraints([
+                {"type": "max_group_size", "bound": 8},
+                {"type": "max_groups", "bound": 5},
+            ])
+            result = Gecco(constraints, GeccoConfig(beam_width="auto")).abstract(
+                loan_application_log(num_traces=60)
+            )
+            print(json.dumps({
+                "tied": json.dumps(tied),
+                "loan:60/groups5": hashlib.sha256(
+                    result_signature(result).encode()
+                ).hexdigest(),
+            }))
+            """
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        signatures: dict[str, set[str]] = {}
+        for seed in range(4):
+            env = dict(os.environ, PYTHONHASHSEED=str(seed), PYTHONPATH=src)
+            completed = subprocess.run(
+                [sys.executable, "-c", script],
+                env=env, capture_output=True, text=True, timeout=300, check=True,
+            )
+            for job, signature in json.loads(completed.stdout).items():
+                signatures.setdefault(job, set()).add(signature)
+        assert {job: len(seen) for job, seen in signatures.items()} == {
+            "tied": 1, "loan:60/groups5": 1,
+        }
 
     def test_merge_fronts_breaks_cost_ties_lexicographically(self):
         def solution(classes, cost):

@@ -188,6 +188,19 @@ class TestSelectionDiskStore:
         assert revived.get_selection("ab12") == self._solution()
         assert revived.stats.selection.hits == 1
 
+    def test_entries_with_legacy_canonical_key_still_read(self, tmp_path):
+        from repro.experiments.persistence import read_json
+        from repro.service.journal import seal, verify_seal
+
+        store = tmp_path / "store"
+        ArtifactCache(disk_dir=store).put_selection("ab12", self._solution())
+        path = store / "selection" / "ab" / "ab12.json"
+        payload = verify_seal(read_json(path))
+        assert "canonical" not in payload
+        payload["canonical"] = True  # as written by older releases
+        path.write_text(json.dumps(seal(payload)), encoding="utf-8")
+        assert ArtifactCache(disk_dir=store).get_selection("ab12") == self._solution()
+
     def test_timeouts_and_foreign_objects_never_persist(self, tmp_path):
         store = tmp_path / "store"
         cache = ArtifactCache(disk_dir=store)

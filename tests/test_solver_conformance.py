@@ -13,6 +13,10 @@ Locks down the three solver-frontier behaviors:
 * **Race determinism** — the parallel bnb-vs-HiGHS race returns the
   same grouping under any seeded delay/fault schedule, including
   mid-solve cancellation of the losing branch-and-bound.
+* **Exact lex-min search** — :func:`lexmin_optimal_selection` returns
+  the brute-force lex-min optimum on tie-dense instances (no scipy
+  needed), and the same positions as the earlier budgeted search on the
+  ``loan:60`` manifest programs.
 """
 
 from __future__ import annotations
@@ -141,14 +145,13 @@ def _canonical_positions(solver_result, classes, candidates, costs, max_count):
         for name in solver_result.selected()
         if name.startswith("g")
     )
-    canonical = lexmin_optimal_selection(
+    return lexmin_optimal_selection(
         sorted(classes),
         list(candidates),
         list(costs),
         target=sum(costs[position] for position in positions),
         max_count=max_count,
     )
-    return canonical if canonical is not None else positions
 
 
 # -- LP bound admissibility ---------------------------------------------
@@ -291,6 +294,95 @@ def test_lexmin_stable_under_candidate_shuffle(instance, rng):
     again = solve_component(shuffled, backend="bnb", max_count=max_count)
     assert original.status == again.status
     assert original.groups == again.groups
+
+
+# -- exact lex-min search -----------------------------------------------
+
+
+@st.composite
+def tie_dense_instances(draw):
+    """Instances whose costs come from {0.5, 1.0, 1.5}: optima tie often."""
+    num_classes = draw(st.integers(min_value=2, max_value=6))
+    classes = [f"c{i}" for i in range(num_classes)]
+    groups = draw(
+        st.lists(
+            st.sets(st.sampled_from(classes), min_size=1, max_size=3),
+            min_size=1,
+            max_size=10,
+        )
+    )
+    if draw(st.booleans()):
+        groups.extend({cls} for cls in classes)
+    candidates = sorted(
+        {frozenset(group) for group in groups}, key=lambda g: sorted(g)
+    )
+    costs = [draw(st.sampled_from((0.5, 1.0, 1.5))) for _ in candidates]
+    bound = st.one_of(st.none(), st.integers(min_value=1, max_value=num_classes))
+    return classes, candidates, costs, draw(bound), draw(bound)
+
+
+@settings(max_examples=300, deadline=None)
+@given(tie_dense_instances())
+def test_lexmin_matches_brute_force_on_ties(instance):
+    classes, candidates, costs, min_count, max_count = instance
+    reference = brute_force(classes, candidates, costs, min_count, max_count)
+    if reference is None:
+        return
+    expected_cost, expected_positions = reference
+    assert lexmin_optimal_selection(
+        classes, candidates, costs, target=expected_cost,
+        min_count=min_count, max_count=max_count,
+    ) == expected_positions
+    # Below the optimum no selection qualifies: the search says so
+    # instead of returning a partial or budget-dependent answer.
+    with pytest.raises(SolverError):
+        lexmin_optimal_selection(
+            classes, candidates, costs, target=expected_cost - 0.5,
+            min_count=min_count, max_count=max_count,
+        )
+
+
+#: ``loan_application_log(num_traces=60)`` manifest rows -> the lex-min
+#: positions the earlier node-budgeted search returned for their
+#: Step-2 programs (one component each: 138/215/298/390/613 candidates).
+LOAN60_LEXMIN = {
+    (("max_group_size", 3),): [6, 13, 23, 31, 34, 46, 56, 63, 111],
+    (("max_group_size", 4),): [12, 33, 59, 87, 116, 128, 168],
+    (("max_group_size", 5),): [31, 69, 103, 135, 204, 245],
+    (("max_group_size", 6),): [16, 125, 166, 248, 335],
+    **{
+        (("max_group_size", 8), ("max_groups", bound)): [60, 313, 367, 472]
+        for bound in (4, 5, 6, 7)
+    },
+}
+
+
+def test_lexmin_regression_on_loan60_programs(monkeypatch):
+    from repro.constraints.parser import parse_constraints
+    from repro.core.gecco import Gecco, GeccoConfig, prepare_artifacts
+    from repro.datasets import loan_application_log
+    from repro.selection2 import portfolio
+
+    calls = []
+
+    def recording(*args, **kwargs):
+        positions = lexmin_optimal_selection(*args, **kwargs)
+        calls.append(positions)
+        return positions
+
+    monkeypatch.setattr(portfolio, "lexmin_optimal_selection", recording)
+    log = loan_application_log(num_traces=60)
+    config = GeccoConfig(beam_width="auto")
+    artifacts = prepare_artifacts(log, config)
+    for row, expected in LOAN60_LEXMIN.items():
+        constraints = parse_constraints(
+            [{"type": kind, "bound": bound} for kind, bound in row]
+        )
+        calls.clear()
+        result = Gecco(constraints, config).abstract(log, artifacts=artifacts)
+        assert result.feasible, row
+        # One canonicalization per component, even when it was raced.
+        assert calls == [expected], row
 
 
 # -- race determinism ---------------------------------------------------
