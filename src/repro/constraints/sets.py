@@ -40,6 +40,11 @@ ClassAttributeView = dict[str, dict[str, frozenset]]
 #: Provider of a group's instances, injected by the core layer.
 InstanceProvider = Callable[[frozenset], Sequence[Sequence[Event]]]
 
+#: ``(constraint, group) -> (violating instances, instances)`` without
+#: materialized events, or ``None`` when it cannot count that pair;
+#: injected by the core layer.
+ViolationCounter = Callable[[InstanceConstraint, frozenset], tuple[int, int] | None]
+
 
 def class_attribute_view(log: EventLog) -> ClassAttributeView:
     """Collect the class-level attribute values of a log.
@@ -201,6 +206,7 @@ class ConstraintSet:
         class_attributes: Mapping[str, Mapping[str, frozenset]] | None,
         instance_provider: InstanceProvider | None,
         candidates: Iterable[frozenset[str]] = (),
+        violation_counter: ViolationCounter | None = None,
     ) -> "InfeasibilityReport":
         """Explain why no feasible grouping exists (paper §V-C).
 
@@ -208,7 +214,10 @@ class ConstraintSet:
         classes whose singleton group already violates a class-based
         constraint, and — per instance-based constraint — the fraction
         of instance-bearing traces in which each class's singleton group
-        violates it.
+        violates it.  ``violation_counter``, when given, counts the
+        violating instances of a (constraint, singleton) pair; pairs it
+        cannot count are judged one instance at a time with
+        ``check_instance`` on the provider's events.
         """
         covered: set[str] = set()
         for candidate in candidates:
@@ -232,16 +241,22 @@ class ConstraintSet:
                 per_class: dict[str, float] = {}
                 for cls in sorted(log.classes):
                     singleton = frozenset([cls])
-                    instances = instance_provider(singleton)
-                    if not instances:
-                        continue
-                    violated = sum(
-                        1
-                        for instance in instances
-                        if not constraint.check_instance(instance, singleton)
+                    counted = (
+                        violation_counter(constraint, singleton)
+                        if violation_counter is not None
+                        else None
                     )
+                    if counted is None:
+                        instances = instance_provider(singleton)
+                        violated = sum(
+                            1
+                            for instance in instances
+                            if not constraint.check_instance(instance, singleton)
+                        )
+                        counted = violated, len(instances)
+                    violated, total = counted
                     if violated:
-                        per_class[cls] = violated / len(instances)
+                        per_class[cls] = violated / total
                 if per_class:
                     instance_violation_fractions[constraint.describe()] = per_class
 

@@ -303,6 +303,31 @@ class GroupChecker:
             frozenset(group), self.class_attributes
         )
 
+    def count_violations(
+        self, constraint, group: frozenset[str]
+    ) -> tuple[int, int] | None:
+        """``(violating, total)`` instances of ``group`` under ``constraint``.
+
+        Counted from the constraint's columnar kernel, judging each
+        instance as ``constraint.check_instance`` does (a loose wrapper
+        judges by its wrapped constraint).  ``None`` on the reference
+        engine, for a constraint without a kernel, or when its column
+        is unavailable; the caller then materializes the events.
+        """
+        if self._instance_plan is None:
+            return None
+        kernel = next(
+            (kernel for owner, kernel in self._instance_plan if owner is constraint),
+            None,
+        )
+        if kernel is None:
+            return None
+        stats = self.instances.stats(group)
+        if not len(stats):
+            return 0, 0
+        violated = kernel.violations(stats, group)
+        return None if violated is None else (violated, len(stats))
+
     def cache_size(self) -> int:
         """Number of memoized group verdicts (introspection/tests)."""
         return len(self._cache)

@@ -619,6 +619,13 @@ class InstanceKernel:
         """Per-instance verdicts (``None``: column unavailable)."""
         return self._verdicts(stats, group)
 
+    def violations(self, stats, group) -> int | None:
+        """Instances whose own verdict is false (``None``: column unavailable)."""
+        verdicts = self._verdicts(stats, group)
+        if verdicts is None:
+            return None
+        return len(stats) - int(np.count_nonzero(verdicts))
+
     def reduce(self, verdicts, num_instances: int) -> bool:
         """Fold per-instance verdicts into one group verdict."""
         if self.fraction is None:

@@ -472,7 +472,11 @@ class Gecco:
 
         if not selection.feasible:
             report = self.constraints.diagnose(
-                log, checker.class_attributes, instance_index.events, candidates
+                log,
+                checker.class_attributes,
+                instance_index.events,
+                candidates,
+                violation_counter=checker.count_violations,
             )
             if config.raise_on_infeasible:
                 raise InfeasibleProblemError(

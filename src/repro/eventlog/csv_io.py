@@ -4,6 +4,12 @@ Many public logs (and most quick experiments) live in flat CSV files
 with one row per event.  This module converts between such files and
 :class:`~repro.eventlog.events.EventLog`, grouping rows into traces by a
 case-id column and ordering events by a timestamp column when present.
+
+The reader is a single :func:`csv.reader` loop over a column plan fixed
+by the header.  Each attribute cell is coerced to the first of bool,
+int, float or an ISO timestamp that parses it (else it stays text); a
+bounded per-column memo keyed by the cell text answers repeated values,
+which is most cells of categorical columns, without re-parsing them.
 """
 
 from __future__ import annotations
@@ -29,25 +35,40 @@ DEFAULT_CASE_COLUMN = "case:concept:name"
 DEFAULT_CLASS_COLUMN = CLASS_KEY
 DEFAULT_TIMESTAMP_COLUMN = TIMESTAMP_KEY
 
+#: Distinct cell texts remembered per column; a categorical column (a
+#: role, a resource) is coerced once per value, a column of unique
+#: values stops filling its memo here.
+_MEMO_LIMIT = 4096
+_UNSEEN = object()
+
 
 def _coerce(raw: str) -> Any:
-    """Parse a CSV cell into int, float, bool, datetime or string."""
+    """Parse a CSV cell into int, float, bool, datetime or string.
+
+    The result is that of trying, in order: empty (``None``), ``true`` /
+    ``false``, ``int``, ``float``, then an ISO timestamp, else the
+    stripped text.  Two shortcuts skip attempts that cannot succeed:
+    ``int`` and ``float`` never accept a ``:`` (so such a cell is a
+    timestamp or text), and ``int`` never accepts a ``.``.
+    """
     text = raw.strip()
     if text == "":
         return None
+    if ":" in text:
+        return _ensure_datetime(text)
     lowered = text.lower()
     if lowered in ("true", "false"):
         return lowered == "true"
-    try:
-        return int(text)
-    except ValueError:
-        pass
+    if "." not in text:
+        try:
+            return int(text)
+        except ValueError:
+            pass
     try:
         return float(text)
     except ValueError:
         pass
-    parsed = _ensure_datetime(text)
-    return parsed
+    return _ensure_datetime(text)
 
 
 def read_csv(
@@ -71,6 +92,11 @@ def read_csv(
         When ``True`` (default) and the timestamp column exists, events
         within a case are sorted by timestamp (stable: file order breaks
         ties).
+
+    Blank lines are skipped, a row shorter than the header lacks its
+    trailing cells, and a row longer than the header is an error.  When
+    a header name repeats, its last column supplies the value and its
+    first position orders the attributes.
     """
     if hasattr(source, "read"):
         handle = source
@@ -79,40 +105,63 @@ def read_csv(
         handle = open(source, newline="", encoding="utf-8")
         close = True
     try:
-        reader = csv.DictReader(handle)
-        if reader.fieldnames is None:
+        reader = csv.reader(handle)
+        header = next(reader, None)
+        if header is None:
             raise EventLogError("CSV source has no header row")
-        if case_column not in reader.fieldnames:
+        if case_column not in header:
             raise EventLogError(f"CSV is missing case column {case_column!r}")
-        if class_column not in reader.fieldnames:
+        if class_column not in header:
             raise EventLogError(f"CSV is missing class column {class_column!r}")
+        if case_column == class_column:
+            raise EventLogError(f"case and class column are both {case_column!r}")
+        # Name -> last index, in first-occurrence order.
+        columns = dict(zip(header, range(len(header))))
+        case_index = columns.pop(case_column)
+        class_index = columns.pop(class_column)
+        attribute_columns = [(key, index, {}) for key, index in columns.items()]
+        width = len(header)
         cases: dict[str, list[Event]] = {}
-        case_order: list[str] = []
         for row in reader:
-            case_id = row.pop(case_column)
-            event_class = row.pop(class_column)
+            if not row:
+                continue
+            if len(row) > width:
+                raise EventLogError(
+                    f"CSV line {reader.line_num} has {len(row)} cells, "
+                    f"the header has {width}"
+                )
+            if len(row) < width:
+                row += [None] * (width - len(row))
+            case_id = row[case_index]
+            event_class = row[class_index]
             if event_class is None or event_class == "":
                 raise EventLogError(f"row in case {case_id!r} has empty event class")
             attributes: dict[str, Any] = {}
-            for key, raw in row.items():
+            for key, index, memo in attribute_columns:
+                raw = row[index]
                 if raw is None:
                     continue
-                value = _coerce(raw)
+                value = memo.get(raw, _UNSEEN)
+                if value is _UNSEEN:
+                    value = _coerce(raw)
+                    # A shared NaN would equal itself where distinct ones
+                    # do not (distinct-value counts, dict keys).
+                    if len(memo) < _MEMO_LIMIT and value == value:
+                        memo[raw] = value
                 if value is not None:
                     attributes[key] = value
             if timestamp_column in attributes and timestamp_column != TIMESTAMP_KEY:
                 attributes[TIMESTAMP_KEY] = attributes.pop(timestamp_column)
-            if case_id not in cases:
-                cases[case_id] = []
-                case_order.append(case_id)
-            cases[case_id].append(Event(event_class, attributes))
+            events = cases.get(case_id)
+            if events is None:
+                events = cases[case_id] = []
+            events.append(Event(event_class, attributes))
     finally:
         if close:
             handle.close()
 
     traces = []
-    for case_id in case_order:
-        events = cases[case_id]
+    for case_id, events in cases.items():
         if sort_by_timestamp and all(event.timestamp is not None for event in events):
             events = sorted(
                 enumerate(events), key=lambda pair: (pair[1].timestamp, pair[0])

@@ -3,7 +3,9 @@
 Each ``table_*`` function aggregates an :class:`ExperimentReport` the
 way the corresponding paper table does and returns both the raw rows
 (for programmatic checks) and an aligned ASCII rendering (what the
-benchmark harness prints next to the paper's numbers).
+benchmark harness prints next to the paper's numbers).  The rows carry
+the mean solve time under ``"T(s)"``; the renderings show only the
+quality columns, so a rendered table does not change from host to host.
 """
 
 from __future__ import annotations
@@ -76,9 +78,9 @@ def table5(report: ExperimentReport, approach: str = "Exh") -> tuple[list[dict],
         aggregate = report.aggregate(subset)
         rows.append({"Const.": set_name, **aggregate})
     rendered = format_table(
-        ["Const.", "Solved", "S. red.", "C. red.", "Sil.", "T(s)"],
+        ["Const.", "Solved", "S. red.", "C. red.", "Sil."],
         [
-            [row["Const."], row["Solved"], row["S. red."], row["C. red."], row["Sil."], row["T(s)"]]
+            [row["Const."], row["Solved"], row["S. red."], row["C. red."], row["Sil."]]
             for row in rows
         ],
         title=f"Table V: results for {approach}, averaged over solved problems",
@@ -96,9 +98,9 @@ def table6(report: ExperimentReport) -> tuple[list[dict], str]:
         aggregate = report.aggregate(subset)
         rows.append({"Conf.": label, **aggregate})
     rendered = format_table(
-        ["Conf.", "Solved", "S. red.", "C. red.", "Sil.", "T(s)"],
+        ["Conf.", "Solved", "S. red.", "C. red.", "Sil."],
         [
-            [row["Conf."], row["Solved"], row["S. red."], row["C. red."], row["Sil."], row["T(s)"]]
+            [row["Conf."], row["Solved"], row["S. red."], row["C. red."], row["Sil."]]
             for row in rows
         ],
         title="Table VI: results per configuration over solved problems",
@@ -126,11 +128,11 @@ def table7(report: ExperimentReport) -> tuple[list[dict], str]:
             aggregate = report.aggregate(subset)
             rows.append({"Const.": block_label, "Conf.": label, **aggregate})
     rendered = format_table(
-        ["Const.", "Conf.", "Solved", "S. red.", "C. red.", "Sil.", "T(s)"],
+        ["Const.", "Conf.", "Solved", "S. red.", "C. red.", "Sil."],
         [
             [
                 row["Const."], row["Conf."], row["Solved"], row["S. red."],
-                row["C. red."], row["Sil."], row["T(s)"],
+                row["C. red."], row["Sil."],
             ]
             for row in rows
         ],

@@ -14,14 +14,19 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
-from test_fuzz_pipeline import log_strategy
+from test_fuzz_pipeline import log_strategy, variant_strategy
 
 from repro.constraints import (
+    AtLeastFraction,
     ConstraintSet,
     MaxDistinctClassAttribute,
+    MaxDistinctInstanceAttribute,
     MaxGroupSize,
+    MaxInstanceAggregate,
+    MinEventsPerClass,
+    MinGroupSize,
     MinInstanceAggregate,
 )
 from repro.core.candidates import exhaustive_candidates
@@ -37,7 +42,7 @@ from repro.core.encoding import (
 from repro.core.exclusive import merge_exclusive_candidates
 from repro.core.gecco import Gecco, GeccoConfig
 from repro.core.instances import POLICIES, InstanceIndex, instances_in_log
-from repro.eventlog.events import ROLE_KEY
+from repro.eventlog.events import ROLE_KEY, Event, EventLog, Trace
 
 pytestmark = pytest.mark.skipif(not HAVE_NUMPY, reason="numpy not installed")
 
@@ -246,3 +251,79 @@ class TestFuzzParity:
             assert compiled_distance.group_distance(
                 group
             ) == reference.group_distance(group)
+
+
+#: Costs whose instance sums and averages land on, just above and just
+#: below 0.3, plus huge magnitudes; ``None`` leaves the attribute out.
+_COSTS = [0.1, 0.2, 0.3, 0.30000000000000004, 1e16, -1e16, None]
+
+
+@st.composite
+def _costed_log(draw):
+    traces = []
+    for variant in draw(st.lists(variant_strategy, min_size=1, max_size=6)):
+        events = []
+        for event_class in variant:
+            attributes = {}
+            cost = draw(st.sampled_from(_COSTS))
+            if cost is not None:
+                attributes["cost"] = cost
+            role = draw(st.sampled_from(["r1", "r2", None]))
+            if role is not None:
+                attributes[ROLE_KEY] = role
+            events.append(Event(event_class, attributes))
+        traces.append(Trace(events))
+    return EventLog(traces)
+
+
+#: Infeasible on five classes (no group reaches size 6), so every run
+#: diagnoses all instance constraints for every singleton.
+_REPORT_CONSTRAINTS = ConstraintSet(
+    [
+        MinGroupSize(6),
+        MaxInstanceAggregate("cost", "sum", 0.3),
+        MinInstanceAggregate("cost", "avg", 0.3),
+        AtLeastFraction(MaxInstanceAggregate("cost", "avg", 0.3), 0.6),
+        AtLeastFraction(AtLeastFraction(MinInstanceAggregate("cost", "sum", 0.3), 0.9), 0.5),
+        MaxDistinctInstanceAttribute(ROLE_KEY, 1),
+        MinEventsPerClass(2),
+    ]
+)
+
+
+class TestInfeasibilityReportParity:
+    @given(log=_costed_log())
+    @settings(max_examples=40, deadline=None)
+    def test_reports_identical(self, log):
+        reports = {}
+        for engine in ("python", "compiled"):
+            result = Gecco(
+                _REPORT_CONSTRAINTS, GeccoConfig(engine=engine, solver="bnb")
+            ).abstract(log)
+            assert not result.feasible
+            reports[engine] = result.infeasibility
+        assert reports["compiled"] == reports["python"]
+
+    def test_compiled_diagnosis_counts_on_kernels(self):
+        log = EventLog(
+            [
+                Trace([Event("a", {"cost": 0.1}), Event("b", {"cost": 0.2}), Event("a", {})]),
+                Trace([Event("b", {ROLE_KEY: "r1"}), Event("a", {"cost": 0.2})]),
+            ]
+        )
+        checker = GroupChecker(
+            log, _REPORT_CONSTRAINTS, CompiledInstanceIndex(log, CompiledLog(log))
+        )
+        reference = GroupChecker(log, _REPORT_CONSTRAINTS, InstanceIndex(log))
+        for constraint in _REPORT_CONSTRAINTS.instance_based:
+            for event_class in sorted(log.classes):
+                group = frozenset([event_class])
+                instances = reference.instances.events(group)
+                expected = sum(
+                    not constraint.check_instance(instance, group) for instance in instances
+                )
+                assert checker.count_violations(constraint, group) == (
+                    expected,
+                    len(instances),
+                )
+                assert reference.count_violations(constraint, group) is None
